@@ -5,11 +5,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use xg_costmodel::{MachineModel, Placement};
 use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
-use xgyro_core::{gradient_sweep, run_xgyro, run_xgyro_checkpointed, EnsembleCheckpoint};
+use xgyro_core::{gradient_sweep, run, run_xgyro, Decision, EnsembleCheckpoint, Run};
 
 fn bench_checkpoint_roundtrip(c: &mut Criterion) {
     let cfg = gradient_sweep(&CgyroInput::test_small(), 2, ProcGrid::new(2, 1));
-    let (_, cp) = run_xgyro_checkpointed(&cfg, 2, None).unwrap();
+    let cp = run(&cfg, &Run::new(2), |_| Decision::Continue).unwrap().checkpoint;
     c.bench_function("ensemble_checkpoint_serialize_roundtrip", |b| {
         b.iter(|| {
             let bytes = cp.to_bytes();

@@ -369,14 +369,13 @@ mod tests {
         // marker survives the round trip into the cost breakdown.
         let base = xg_sim::CgyroInput::test_small();
         let cfg = xgyro_core::gradient_sweep(&base, 3, xg_tensor::ProcGrid::new(1, 1));
-        let out = xgyro_core::run_xgyro_resilient(
-            &cfg,
-            2,
-            2,
-            xg_comm::FaultPlan::crash(1, 5),
-            std::time::Duration::from_secs(5),
-        )
-        .unwrap();
+        let opts = xgyro_core::Run {
+            ckpt_every: Some(2),
+            faults: xg_comm::FaultPlan::crash(1, 5),
+            deadline: Some(std::time::Duration::from_secs(5)),
+            ..xgyro_core::Run::new(2)
+        };
+        let out = xgyro_core::run(&cfg, &opts, |_| xgyro_core::Decision::Continue).unwrap();
         assert_eq!(out.events.len(), 1, "the seeded crash must have fired");
         let faulty = &out.faulty_segments[0];
         let csv = xg_comm::traces_to_csv(faulty);

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 use xg_tensor::{Decomposition, ProcGrid};
-use xgyro_core::{run_xgyro_with_history, summarize_trace, EnsembleConfig};
+use xgyro_core::{run, summarize_trace, Decision, EnsembleConfig, RecoveryOutcome, Run};
 
 struct Args {
     grid: ProcGrid,
@@ -135,7 +135,10 @@ fn main() {
         cfg.cmat_key()
     );
     let start = std::time::Instant::now();
-    let (outcome, histories) = run_xgyro_with_history(&cfg, args.reports);
+    let steps = args.reports * cfg.members()[0].steps_per_report;
+    let opts = Run { history: true, ..Run::new(steps) };
+    let RecoveryOutcome { outcome, histories, .. } =
+        run(&cfg, &opts, |_| Decision::Continue).expect("a fault-free run completes");
     let wall = start.elapsed().as_secs_f64();
 
     for (i, hist) in histories.iter().enumerate() {
@@ -205,7 +208,6 @@ fn main() {
         // per-simulation grid and require bitwise-identical trajectories —
         // the strongest runtime check that sharing cmat changed nothing.
         eprintln!("selftest: re-running {} members as independent CGYRO jobs...", cfg.k());
-        let steps = args.reports * cfg.members()[0].steps_per_report;
         let baseline = xgyro_core::run_cgyro_baseline(&cfg, steps);
         let mut failures = 0;
         for (x, c) in outcome.sims.iter().zip(&baseline.sims) {

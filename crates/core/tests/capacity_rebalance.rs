@@ -2,8 +2,8 @@
 //!
 //! When a member is evicted on a heterogeneous machine, the uniform shrink
 //! gates the degraded run on the slowest surviving rank.
-//! `run_xgyro_resilient_with_capacities` instead re-apportions the shared
-//! coll rows to the survivors' actual speeds. The headline properties:
+//! A run with `Run::capacities` set instead re-apportions the shared coll
+//! rows to the survivors' actual speeds. The headline properties:
 //!
 //! * the rebalanced continuation is **bitwise identical** to the
 //!   uniform-shrink one (coll cuts only move whole `(ic, it)` collision
@@ -12,15 +12,35 @@
 //!   registry), uniform capacities move none;
 //! * the rebalanced cuts track the capacity ratios.
 
+use std::sync::Mutex;
 use std::time::Duration;
 use xg_comm::FaultPlan;
 use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
-use xgyro_core::{
-    gradient_sweep, run_xgyro_resilient, run_xgyro_resilient_with_capacities,
-};
+use xgyro_core::{gradient_sweep, run, Decision, EnsembleConfig, RecoveryOutcome, Run};
 
 const DEADLINE: Duration = Duration::from_secs(5);
+
+/// Held by the tests that rebalance, so one test's rebalance never lands
+/// inside another's registry delta.
+static REBALANCING: Mutex<()> = Mutex::new(());
+
+/// A 6-step run in 3-step segments with `faults` injected and the coll
+/// rows rebalanced onto `capacities` after each eviction.
+fn resilient_with_capacities(
+    cfg: &EnsembleConfig,
+    faults: FaultPlan,
+    capacities: Option<&[f64]>,
+) -> RecoveryOutcome {
+    let opts = Run {
+        ckpt_every: Some(3),
+        faults,
+        deadline: Some(DEADLINE),
+        capacities: capacities.map(<[f64]>::to_vec),
+        ..Run::new(6)
+    };
+    run(cfg, &opts, |_| Decision::Continue).expect("recoverable")
+}
 
 /// k=3 sweep on a 2x2 grid: 12 world ranks, 4 per member.
 fn config() -> xgyro_core::EnsembleConfig {
@@ -38,23 +58,14 @@ fn skewed_capacities() -> Vec<f64> {
 
 #[test]
 fn rebalanced_recovery_is_bitwise_identical_to_uniform_shrink() {
+    let _serial = REBALANCING.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = config();
     // Crash a rank of member 1; survivors are members {0, 2} and member
     // 2's ranks are half-speed, so the surviving coll positions have
     // non-uniform capacities and the rebuild must rebalance.
     let plan = FaultPlan::crash(5, 4);
-    let uniform =
-        run_xgyro_resilient(&cfg, 6, 3, plan.clone(), DEADLINE).expect("recoverable");
-    let rebalanced = run_xgyro_resilient_with_capacities(
-        &cfg,
-        None,
-        6,
-        3,
-        plan,
-        DEADLINE,
-        Some(&skewed_capacities()),
-    )
-    .expect("recoverable");
+    let uniform = resilient_with_capacities(&cfg, plan.clone(), None);
+    let rebalanced = resilient_with_capacities(&cfg, plan, Some(&skewed_capacities()));
 
     // Same eviction, same survivors...
     assert_eq!(uniform.events.len(), 1);
@@ -82,34 +93,18 @@ fn rebalanced_recovery_is_bitwise_identical_to_uniform_shrink() {
 #[test]
 fn uniform_capacities_do_not_rebalance() {
     let cfg = config();
-    let out = run_xgyro_resilient_with_capacities(
-        &cfg,
-        None,
-        6,
-        3,
-        FaultPlan::crash(5, 4),
-        DEADLINE,
-        Some(&[1.0; 12]),
-    )
-    .expect("recoverable");
+    let out = resilient_with_capacities(&cfg, FaultPlan::crash(5, 4), Some(&[1.0; 12]));
     assert_eq!(out.events.len(), 1);
     assert_eq!(out.events[0].moved_rows, 0, "uniform capacities are a uniform shrink");
 }
 
 #[test]
 fn rebalance_records_on_the_obs_registry() {
+    let _serial = REBALANCING.lock().unwrap_or_else(|e| e.into_inner());
     // The process-wide registry accumulates; measure the delta.
     let before = xg_obs::Registry::global().rebalance_stats();
-    let out = run_xgyro_resilient_with_capacities(
-        &config(),
-        None,
-        6,
-        3,
-        FaultPlan::crash(5, 4),
-        DEADLINE,
-        Some(&skewed_capacities()),
-    )
-    .expect("recoverable");
+    let out =
+        resilient_with_capacities(&config(), FaultPlan::crash(5, 4), Some(&skewed_capacities()));
     let moved = out.events[0].moved_rows;
     assert!(moved > 0);
     let after = xg_obs::Registry::global().rebalance_stats();

@@ -13,10 +13,39 @@ use xg_comm::{FaultKind, FaultPlan, FaultSpec, OpKind};
 use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
 use xgyro_core::{
-    gradient_sweep, run_xgyro, run_xgyro_resilient, EnsembleConfig, EnsembleError,
+    gradient_sweep, run, run_xgyro, Decision, EnsembleCheckpoint, EnsembleConfig, EnsembleError,
+    RecoveryError, RecoveryOutcome, Run,
 };
 
 const DEADLINE: Duration = Duration::from_secs(5);
+
+/// A checkpointed run of `steps` steps in `ckpt_every`-step segments,
+/// optionally resumed from `resume`, with `faults` injected.
+fn resilient_from(
+    cfg: &EnsembleConfig,
+    resume: Option<EnsembleCheckpoint>,
+    steps: usize,
+    ckpt_every: usize,
+    faults: FaultPlan,
+) -> Result<RecoveryOutcome, RecoveryError> {
+    let opts = Run {
+        ckpt_every: Some(ckpt_every),
+        resume,
+        faults,
+        deadline: Some(DEADLINE),
+        ..Run::new(steps)
+    };
+    run(cfg, &opts, |_| Decision::Continue)
+}
+
+fn resilient(
+    cfg: &EnsembleConfig,
+    steps: usize,
+    ckpt_every: usize,
+    faults: FaultPlan,
+) -> Result<RecoveryOutcome, RecoveryError> {
+    resilient_from(cfg, None, steps, ckpt_every, faults)
+}
 
 /// The unfaulted comparison ensemble: the sweep members of `cfg` minus the
 /// evicted one, as their own (k−1)-member config.
@@ -47,7 +76,7 @@ fn crash_before_first_checkpoint_restarts_degraded() {
     // Rank 1 == member 1 (one rank per sim). Crash early: no checkpoint
     // exists yet, so the survivors restart from scratch as k=2.
     let plan = FaultPlan::crash(1, 5);
-    let out = run_xgyro_resilient(&cfg, 6, 3, plan, DEADLINE).expect("recoverable");
+    let out = resilient(&cfg, 6, 3, plan).expect("recoverable");
 
     assert_eq!(out.events.len(), 1);
     let ev = &out.events[0];
@@ -77,8 +106,7 @@ fn crash_after_checkpoint_resumes_from_rollback_bitwise() {
     // Calibrate: how many ops does a rank issue in one 4-step segment?
     // Target the crash a few ops *past* that, so it lands in segment 2 —
     // after the step-4 checkpoint exists.
-    let probe =
-        run_xgyro_resilient(&cfg, 4, 4, FaultPlan::new(), DEADLINE).expect("probe run");
+    let probe = resilient(&cfg, 4, 4, FaultPlan::new()).expect("probe run");
     let seg_ops = ops_of_rank(&probe.outcome.traces, 5);
     assert!(seg_ops > 0);
 
@@ -87,7 +115,7 @@ fn crash_after_checkpoint_resumes_from_rollback_bitwise() {
         at_op: seg_ops + 3,
         kind: FaultKind::Crash,
     });
-    let out = run_xgyro_resilient(&cfg, 8, 4, plan, DEADLINE).expect("recoverable");
+    let out = resilient(&cfg, 8, 4, plan).expect("recoverable");
 
     assert_eq!(out.events.len(), 1);
     let ev = &out.events[0];
@@ -128,7 +156,7 @@ fn delay_fault_is_traced_but_harmless() {
         at_op: 3,
         kind: FaultKind::Delay(20), // well under the deadline
     });
-    let out = run_xgyro_resilient(&cfg, 4, 2, plan, DEADLINE).expect("no recovery needed");
+    let out = resilient(&cfg, 4, 2, plan).expect("no recovery needed");
     assert!(out.events.is_empty());
     assert_eq!(out.surviving_members, vec![0, 1]);
     let fault_recs: Vec<_> = out
@@ -153,8 +181,8 @@ fn seeded_recovery_is_deterministic() {
     let base = CgyroInput::test_small();
     let cfg = gradient_sweep(&base, 3, ProcGrid::new(1, 1));
     let plan = FaultPlan::seeded_crash(42, cfg.total_ranks(), 12);
-    let a = run_xgyro_resilient(&cfg, 6, 3, plan.clone(), DEADLINE).expect("recoverable");
-    let b = run_xgyro_resilient(&cfg, 6, 3, plan, DEADLINE).expect("recoverable");
+    let a = resilient(&cfg, 6, 3, plan.clone()).expect("recoverable");
+    let b = resilient(&cfg, 6, 3, plan).expect("recoverable");
     assert_eq!(a.checkpoint, b.checkpoint);
     assert_eq!(a.surviving_members, b.surviving_members);
     assert_eq!(a.events.len(), b.events.len());
@@ -167,8 +195,8 @@ fn evicting_the_last_member_is_an_error() {
     assert_eq!(cfg.evict_member(0).unwrap_err(), EnsembleError::Empty);
 
     // And a crash in a k=1 "ensemble" is unrecoverable end-to-end.
-    let err = run_xgyro_resilient(&cfg, 4, 2, FaultPlan::crash(0, 3), DEADLINE).unwrap_err();
-    assert!(matches!(err, xgyro_core::RecoveryError::Ensemble(EnsembleError::Empty)));
+    let err = resilient(&cfg, 4, 2, FaultPlan::crash(0, 3)).unwrap_err();
+    assert!(matches!(err, RecoveryError::Ensemble(EnsembleError::Empty)));
 }
 
 #[test]
@@ -178,25 +206,11 @@ fn segmented_resume_is_bitwise_identical_to_one_shot() {
     let base = CgyroInput::test_small();
     let cfg = gradient_sweep(&base, 2, ProcGrid::new(1, 1));
     let whole = run_xgyro(&cfg, 6);
-    let first = xgyro_core::run_xgyro_resilient_from(
-        &cfg,
-        None,
-        3,
-        3,
-        FaultPlan::new(),
-        DEADLINE,
-    )
-    .expect("clean first segment");
+    let first = resilient_from(&cfg, None, 3, 3, FaultPlan::new())
+        .expect("clean first segment");
     assert_eq!(first.checkpoint.steps_taken(), 3);
-    let second = xgyro_core::run_xgyro_resilient_from(
-        &cfg,
-        Some(first.checkpoint),
-        3,
-        3,
-        FaultPlan::new(),
-        DEADLINE,
-    )
-    .expect("clean second segment");
+    let second = resilient_from(&cfg, Some(first.checkpoint), 3, 3, FaultPlan::new())
+        .expect("clean second segment");
     assert_eq!(second.checkpoint.steps_taken(), 6);
     for (got, want) in second.outcome.sims.iter().zip(whole.sims.iter()) {
         assert_eq!(got.h, want.h, "segmented member {} diverged", got.sim);
@@ -207,29 +221,15 @@ fn segmented_resume_is_bitwise_identical_to_one_shot() {
 fn resume_rejects_a_foreign_checkpoint() {
     let base = CgyroInput::test_small();
     let cfg = gradient_sweep(&base, 2, ProcGrid::new(1, 1));
-    let seg = xgyro_core::run_xgyro_resilient_from(
-        &cfg,
-        None,
-        2,
-        2,
-        FaultPlan::new(),
-        DEADLINE,
-    )
-    .expect("clean run");
+    let seg = resilient_from(&cfg, None, 2, 2, FaultPlan::new())
+        .expect("clean run");
     // A different collisionality is a different ensemble identity.
     let mut hot = base.clone();
     hot.nu_ee *= 2.0;
     let other = gradient_sweep(&hot, 2, ProcGrid::new(1, 1));
-    let err = xgyro_core::run_xgyro_resilient_from(
-        &other,
-        Some(seg.checkpoint),
-        2,
-        2,
-        FaultPlan::new(),
-        DEADLINE,
-    )
+    let err = resilient_from(&other, Some(seg.checkpoint), 2, 2, FaultPlan::new())
     .unwrap_err();
-    assert!(matches!(err, xgyro_core::RecoveryError::Checkpoint(_)), "{err}");
+    assert!(matches!(err, RecoveryError::Checkpoint(_)), "{err}");
 }
 
 #[test]
@@ -239,30 +239,60 @@ fn segmented_resume_recovers_from_mid_segment_faults() {
     // an unfaulted run of the survivors alone.
     let base = CgyroInput::test_small();
     let cfg = gradient_sweep(&base, 3, ProcGrid::new(1, 1));
-    let first = xgyro_core::run_xgyro_resilient_from(
-        &cfg,
-        None,
-        3,
-        3,
-        FaultPlan::new(),
-        DEADLINE,
-    )
-    .expect("clean first segment");
+    let first = resilient_from(&cfg, None, 3, 3, FaultPlan::new())
+        .expect("clean first segment");
     // Each call runs in a fresh world, so the second call's op counters
     // start at zero: op 4 lands inside the resumed segment.
-    let second = xgyro_core::run_xgyro_resilient_from(
-        &cfg,
-        Some(first.checkpoint),
-        3,
-        3,
-        FaultPlan::crash(1, 4),
-        DEADLINE,
-    )
-    .expect("recoverable");
+    let second = resilient_from(&cfg, Some(first.checkpoint), 3, 3, FaultPlan::crash(1, 4))
+        .expect("recoverable");
     assert_eq!(second.surviving_members, vec![0, 2]);
     assert_eq!(second.checkpoint.steps_taken(), 6);
     let clean = run_xgyro(&survivors_config(&cfg, 1), 6);
     for (got, want) in second.outcome.sims.iter().zip(clean.sims.iter()) {
         assert_eq!(got.h, want.h, "survivor (original member {}) diverged", got.sim);
+        // The rebuilt world holds the survivors' share of the one cmat.
+        assert_eq!(
+            got.cmat_bytes_per_rank, want.cmat_bytes_per_rank,
+            "survivor (original member {}) cmat bytes",
+            got.sim
+        );
+    }
+}
+
+/// Crash `rank` on the last operation it issues before the boundary ending
+/// segment `seg` (1-based) of an 8-step, 4-step-cadence k=3 run on a 2x1
+/// grid; return the recovered run.
+fn crash_on_last_op_of_segment(cfg: &EnsembleConfig, rank: usize, seg: usize) -> RecoveryOutcome {
+    let probe = resilient(cfg, 4 * seg, 4, FaultPlan::new()).expect("probe run");
+    let last_op = ops_of_rank(&probe.outcome.traces, rank) - 1;
+    resilient(cfg, 8, 4, FaultPlan::crash(rank, last_op)).expect("typed recovery, not a hang")
+}
+
+#[test]
+fn crash_on_the_last_op_of_a_segment_recovers_at_the_boundary() {
+    // The rank dies in the diagnostics reduction that closes its segment:
+    // the other members' ranks are already waiting at the boundary, and
+    // the boundary exchange must turn the missing rank into a typed
+    // recovery event rather than wait for it.
+    let base = CgyroInput::test_small();
+    let cfg = gradient_sweep(&base, 3, ProcGrid::new(2, 1));
+    let clean = run_xgyro(&survivors_config(&cfg, 1), 8);
+    for (seg, resumed_from) in [(1, 0), (2, 4)] {
+        let out = crash_on_last_op_of_segment(&cfg, 3, seg);
+        assert_eq!(out.events.len(), 1, "segment {seg}");
+        let ev = &out.events[0];
+        assert_eq!(ev.failed_member, 1, "segment {seg}");
+        assert!(
+            matches!(ev.cause, xg_comm::CommError::PeerFailed { rank: 3, .. }),
+            "segment {seg}: {}",
+            ev.cause
+        );
+        assert_eq!(ev.resumed_from_step, resumed_from, "segment {seg}");
+        assert_eq!(ev.steps_replayed, 4, "segment {seg}");
+        assert_eq!(out.surviving_members, vec![0, 2]);
+        assert_eq!(out.checkpoint.steps_taken(), 8);
+        for (got, want) in out.outcome.sims.iter().zip(clean.sims.iter()) {
+            assert_eq!(got.h, want.h, "segment {seg}: survivor {} diverged", got.sim);
+        }
     }
 }

@@ -5,7 +5,7 @@
 use xg_comm::World;
 use xg_sim::{serial_simulation, CgyroInput, DistTopology, Simulation};
 use xg_tensor::ProcGrid;
-use xgyro_core::{gradient_sweep, run_xgyro_with_history};
+use xgyro_core::{gradient_sweep, run, Decision, Run};
 
 #[test]
 fn ensemble_histories_match_serial_members() {
@@ -14,7 +14,8 @@ fn ensemble_histories_match_serial_members() {
     b.steps_per_report = 5;
     let cfg = gradient_sweep(&b, 2, ProcGrid::new(2, 1));
     let reports = 3;
-    let (_outcome, histories) = run_xgyro_with_history(&cfg, reports);
+    let opts = Run { history: true, ..Run::new(reports * b.steps_per_report) };
+    let histories = run(&cfg, &opts, |_| Decision::Continue).expect("clean run").histories;
     assert_eq!(histories.len(), 2);
     for (i, member) in cfg.members().iter().enumerate() {
         let mut s = serial_simulation(member);

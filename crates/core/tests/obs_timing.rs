@@ -12,7 +12,7 @@ use xg_comm::FaultPlan;
 use xg_obs::{Phase, Registry};
 use xg_sim::{serial_simulation, CgyroInput};
 use xg_tensor::ProcGrid;
-use xgyro_core::{gradient_sweep, run_xgyro, run_xgyro_resilient};
+use xgyro_core::{gradient_sweep, run, run_xgyro, Decision, Run};
 
 static OBS_FLAG: Mutex<()> = Mutex::new(());
 
@@ -78,8 +78,13 @@ fn timers_survive_member_eviction() {
     let rec = with_obs(true, || {
         // Crash a rank of member 1 early: the run recovers in degraded
         // (k-1) mode and must keep timing the surviving members.
-        run_xgyro_resilient(&cfg, 8, 4, FaultPlan::crash(2, 4), Duration::from_secs(10))
-            .expect("resilient run completes")
+        let opts = Run {
+            ckpt_every: Some(4),
+            faults: FaultPlan::crash(2, 4),
+            deadline: Some(Duration::from_secs(10)),
+            ..Run::new(8)
+        };
+        run(&cfg, &opts, |_| Decision::Continue).expect("resilient run completes")
     });
     assert_eq!(rec.surviving_members.len(), 2, "one member evicted");
 

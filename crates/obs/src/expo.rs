@@ -52,6 +52,7 @@ pub fn to_json(reg: &Registry) -> String {
     s.push_str(&format!(
         "  \"rebalance\": {{\"events\": {rb_events}, \"moved_rows\": {rb_rows}}},\n"
     ));
+    s.push_str(&format!("  \"worlds\": {{\"builds\": {}}},\n", reg.world_builds()));
     let (appends, fsyncs, fsync_us) = reg.journal_stats();
     s.push_str(&format!(
         "  \"journal\": {{\"appends\": {appends}, \"fsyncs\": {fsyncs}, \"fsync_us\": {fsync_us}}},\n"
@@ -94,8 +95,8 @@ fn push_opt(s: &mut String, key: &str, v: Option<u64>) {
 /// * `xgyro_phase_busy_seconds` — histogram, label `phase`;
 /// * `xgyro_phase_comm_wait_seconds` — histogram, label `phase`;
 /// * `xgyro_recovery_events_total`, `xgyro_recovery_wasted_seconds_total`,
-///   `xgyro_rebalance_events_total`, `xgyro_rebalance_moved_rows_total`
-///   — counters.
+///   `xgyro_rebalance_events_total`, `xgyro_rebalance_moved_rows_total`,
+///   `xgyro_world_builds_total` — counters.
 ///
 /// Every phase family is emitted even when empty (Prometheus prefers
 /// stable series over appearing/disappearing ones).
@@ -136,6 +137,9 @@ pub fn to_prometheus(reg: &Registry) -> String {
     );
     s.push_str("# TYPE xgyro_rebalance_moved_rows_total counter\n");
     s.push_str(&format!("xgyro_rebalance_moved_rows_total {rb_rows}\n"));
+    s.push_str("# HELP xgyro_world_builds_total Ensemble worlds built (ranks, communicators, cmat).\n");
+    s.push_str("# TYPE xgyro_world_builds_total counter\n");
+    s.push_str(&format!("xgyro_world_builds_total {}\n", reg.world_builds()));
     let (appends, fsyncs, fsync_us) = reg.journal_stats();
     s.push_str("# HELP xgyro_journal_appends_total Committed write-ahead journal appends.\n");
     s.push_str("# TYPE xgyro_journal_appends_total counter\n");

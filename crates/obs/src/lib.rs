@@ -193,6 +193,9 @@ pub struct Registry {
     /// uniform shrink would have given them (the measurable payoff of
     /// rebalancing onto the survivors' actual capacities).
     rebalance_moved_rows: AtomicU64,
+    /// Ensemble worlds built (ranks spawned, communicators split, `cmat`
+    /// factored): one per run unless members are evicted.
+    world_builds: AtomicU64,
     /// Journal appends committed by the serving layer's write-ahead log.
     journal_appends: AtomicU64,
     /// fsync(2) calls the journal issued.
@@ -232,6 +235,7 @@ static GLOBAL: Registry = Registry {
     recoveries: AtomicU64::new(0),
     rebalances: AtomicU64::new(0),
     rebalance_moved_rows: AtomicU64::new(0),
+    world_builds: AtomicU64::new(0),
     journal_appends: AtomicU64::new(0),
     journal_fsyncs: AtomicU64::new(0),
     journal_fsync_us: AtomicU64::new(0),
@@ -297,6 +301,16 @@ impl Registry {
             self.rebalances.load(Ordering::Relaxed),
             self.rebalance_moved_rows.load(Ordering::Relaxed),
         )
+    }
+
+    /// Account one ensemble world build.
+    pub fn record_world_build_count(&self) {
+        self.world_builds.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Ensemble worlds built so far.
+    pub fn world_builds(&self) -> u64 {
+        self.world_builds.load(Ordering::Relaxed)
     }
 
     /// Account one committed journal append.
@@ -374,6 +388,7 @@ impl Registry {
         self.recovery_wasted_us.store(0, Ordering::Relaxed);
         self.rebalances.store(0, Ordering::Relaxed);
         self.rebalance_moved_rows.store(0, Ordering::Relaxed);
+        self.world_builds.store(0, Ordering::Relaxed);
         self.journal_appends.store(0, Ordering::Relaxed);
         self.journal_fsyncs.store(0, Ordering::Relaxed);
         self.journal_fsync_us.store(0, Ordering::Relaxed);
@@ -447,6 +462,15 @@ pub fn record_recovery_waste(us: u64) {
 pub fn record_rebalance(moved_rows: u64) {
     if enabled() {
         Registry::global().record_rebalance_moved_rows(moved_rows);
+    }
+}
+
+/// Account one ensemble world build (see
+/// [`Registry::record_world_build_count`]).
+#[inline]
+pub fn record_world_build() {
+    if enabled() {
+        Registry::global().record_world_build_count();
     }
 }
 

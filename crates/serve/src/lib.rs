@@ -17,10 +17,10 @@
 //!   budget ([`xg_cluster::max_feasible_k`]), flushed when full, when the
 //!   linger deadline expires, or on drain;
 //! * **execution** ([`CampaignServer`]) — a bounded worker pool runs each
-//!   batch as one XGYRO ensemble via the resilient checkpointed runner
-//!   ([`xgyro_core::run_xgyro_resilient_from`]): a faulted member is
-//!   evicted and marked `Failed` without killing its batch-mates, and
-//!   cancellations preempt at checkpoint boundaries. Execution is
+//!   batch as one XGYRO ensemble with one call of the checkpointed runner
+//!   ([`xgyro_core::run`]) on one live world: `cmat` is built once per
+//!   batch, a faulted member is evicted and marked `Failed` without killing
+//!   its batch-mates, and cancellations preempt at checkpoint boundaries. Execution is
 //!   **elastic**: each batch asks for the smallest feasible world
 //!   ([`xg_cluster::min_nodes_unbalanced`]) and as many worlds run
 //!   concurrently as the node budget holds;

@@ -8,13 +8,13 @@
 //! * one **batcher** thread sleeps until the earliest linger deadline and
 //!   flushes expired underfull batches to the ready queue;
 //! * `workers` **worker** threads pop ready batches and execute each as one
-//!   XGYRO ensemble through [`xgyro_core::run_xgyro_resilient_from`] in
-//!   bounded segments (`ckpt_every` steps), so cancellations are applied at
-//!   checkpoint boundaries and a faulted member is evicted without killing
-//!   its batch-mates.
+//!   XGYRO ensemble through one [`xgyro_core::run`] call on one live world,
+//!   stopping at a checkpoint boundary every `ckpt_every` steps, so
+//!   cancellations are applied at boundaries and a faulted member is
+//!   evicted without killing its batch-mates.
 //!
 //! All state lives behind one mutex; nothing blocks while holding it except
-//! condition-variable waits. Simulation segments run outside the lock.
+//! condition-variable waits. Simulation runs outside the lock.
 
 use crate::admission::{check_spec, AdmitError};
 use crate::artifacts::{self, ArtifactConfig, PublishContext};
@@ -35,7 +35,7 @@ use xg_comm::FaultPlan;
 use xg_costmodel::MachineModel;
 use xg_sim::CgyroInput;
 use xg_tensor::ProcGrid;
-use xgyro_core::{run_xgyro_resilient_from, EnsembleCheckpoint, EnsembleConfig, EnsembleError};
+use xgyro_core::{Decision, EnsembleCheckpoint, EnsembleConfig, EnsembleError, Run, RunOutcome};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -687,8 +687,9 @@ impl CampaignServer {
     }
 
     /// Stop admitting, flush every pending batch, and block until all
-    /// admitted jobs reach a terminal state (or `timeout` elapses). Returns
-    /// true when the server went quiet in time.
+    /// admitted jobs reach a terminal state and every executing world has
+    /// released its nodes (or `timeout` elapses). Returns true when every
+    /// job is terminal.
     pub fn drain(&self, timeout: Duration) -> bool {
         let shared = &self.shared;
         let deadline = Instant::now() + timeout;
@@ -702,7 +703,10 @@ impl CampaignServer {
             }
         }
         shared.work.notify_all();
-        while guard.live > 0 {
+        // A worker releases its world's nodes only after the batch's last
+        // Done transition; waiting for that too keeps the node ledger
+        // settled when drain returns.
+        while guard.live > 0 || guard.nodes_in_use > 0 {
             if shared.quiet.wait_until(&mut guard, deadline).timed_out() {
                 return guard.live == 0;
             }
@@ -1421,34 +1425,36 @@ fn worker_loop(shared: &Shared) {
             guard.metrics.on_world_end();
             // Freed nodes may unblock a queued world on another worker.
             shared.work.notify_all();
+            shared.quiet.notify_all();
         }
     }
 }
 
-/// Run one batch as an XGYRO ensemble in `ckpt_every`-step segments,
-/// applying cancellations (and shutdown) at checkpoint boundaries and
-/// evicting faulted members without killing their batch-mates. Each
-/// completed segment (except the last) journals its checkpoint, so a crash
-/// mid-batch resumes from the last boundary instead of step 0; the final
-/// segment is deliberately *not* journaled — a crash between it and the
-/// `Done` records re-runs that segment deterministically, which is cheaper
-/// than reasoning about a "finished but unrecorded" limbo state.
-fn execute_batch(shared: &Shared, rb: ReadyBatch) {
+/// Run one batch as an XGYRO ensemble: one [`xgyro_core::run`] call on one
+/// live world, stopping every `ckpt_every` steps at a checkpoint boundary
+/// that journals the checkpoint (so a crash resumes there, not at step 0)
+/// and applies cancellations and elastic preemption. Faulted members are
+/// evicted without killing their batch-mates. The end of the run is
+/// deliberately *not* journaled as a checkpoint — a crash before the
+/// `Done` records re-runs the last segment deterministically, which is
+/// cheaper than reasoning about a "finished but unrecorded" limbo state.
+fn execute_batch(shared: &Shared, mut rb: ReadyBatch) {
     let grid = shared.cfg.grid;
-    let ReadyBatch { id: batch_id, jobs, reason, resume, tenant, priority, nodes } = rb;
+    let batch_id = rb.id;
     // Dispatch bookkeeping: transition members to Running, record queue
     // latency and occupancy, arm the chaos fault plan (first batch only).
     // Members of a preempted batch are *already* Running — they re-enter
     // here without a second transition, dispatch count, or Running record,
     // so a preempt/resume cycle is invisible to occupancy accounting.
-    let (mut member_ids, mut inputs, steps_total, mut plan) = {
+    let (mut member_ids, mut inputs, steps_total, plan) = {
         let mut guard = shared.state.lock();
         let st = &mut *guard;
         let now = Instant::now();
+        let jobs = &rb.jobs;
         let mut inputs: Vec<CgyroInput> = Vec::new();
         let mut steps_total = 0;
         let mut fresh = 0usize;
-        for id in &jobs {
+        for id in jobs {
             let job = st.jobs.get_mut(id).expect("batched job exists");
             steps_total = job.spec.steps;
             inputs.push(job.spec.input.clone());
@@ -1468,154 +1474,157 @@ fn execute_batch(shared: &Shared, rb: ReadyBatch) {
             return;
         }
         if fresh > 0 {
-            st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), reason);
+            st.metrics.on_dispatch(jobs.len(), inputs[0].dims(), rb.reason);
             journal_append(st, &JournalRecord::Running { batch: batch_id, jobs: jobs.clone() });
         }
         (jobs.clone(), inputs, steps_total, st.fault_plan.take())
     };
     let batch_k = member_ids.len() as u64;
     let exec_start = Instant::now();
-    // The batch's communication trace across every segment — stored as one
-    // artifact object and referenced by each member's manifest.
-    let mut all_traces: Vec<Vec<xg_comm::OpRecord>> = Vec::new();
-
-    let (mut checkpoint, mut done, mut next_seq) = match resume {
-        Some(r) => (r.checkpoint, r.done, r.next_seq),
-        None => (None, 0usize, 0u64),
+    let ResumeState { mut checkpoint, done, mut next_seq } =
+        rb.resume.take().unwrap_or(ResumeState { checkpoint: None, done: 0, next_seq: 0 });
+    // The batch may have been cancelled or out-prioritized while it waited.
+    let Some(cancelled) =
+        boundary_checks(shared, &rb, &mut member_ids, checkpoint.as_ref(), done, next_seq)
+    else {
+        return;
     };
-    let mut results: BTreeMap<JobId, JobOutcome> = BTreeMap::new();
-    while done < steps_total && !member_ids.is_empty() {
-        // Checkpoint boundary: apply cancellations (shutdown cancels all).
-        let cancelled: Vec<usize> = {
-            let guard = shared.state.lock();
-            member_ids
-                .iter()
-                .enumerate()
-                .filter(|(_, id)| guard.shutdown || guard.jobs[*id].cancel_requested)
-                .map(|(pos, _)| pos)
-                .collect()
-        };
-        for &pos in cancelled.iter().rev() {
-            let id = member_ids.remove(pos);
-            inputs.remove(pos);
-            if let Some(cp) = checkpoint.take() {
-                // Emptying the batch drops the checkpoint with it —
-                // evict_member only refuses to evict the last member.
-                checkpoint = cp.evict_member(pos).ok();
-            }
-            finish(shared, id, JobState::Cancelled, "preempted at checkpoint".into(), None);
-        }
-        if member_ids.is_empty() {
-            return;
-        }
-        // Elastic preemption: yield this world's nodes when a
-        // higher-priority batch is blocked and provably dispatchable once
-        // they are released. The fit test is deliberately strict —
-        // releasing nodes that still would not admit the waiting batch
-        // would spin through pop/requeue without making progress. Members
-        // stay Running; the batch re-enters the queue with its checkpoint,
-        // and the worker that released the nodes pops the higher lane
-        // first.
-        {
-            let mut guard = shared.state.lock();
-            let st = &mut *guard;
-            if let Some(need) = st.ready.min_over_higher_lanes(priority, |c| c.nodes as u64) {
-                let avail_now = shared.cfg.nodes.saturating_sub(st.nodes_in_use) as u64;
-                let blocked = st.idle_workers == 0 || need > avail_now;
-                if blocked && need <= avail_now + nodes as u64 {
-                    st.metrics.on_preempt(&tenant);
-                    let resume = ResumeState { checkpoint: checkpoint.take(), done, next_seq };
-                    enqueue_ready(
-                        &shared.cfg,
-                        st,
-                        batch_id,
-                        member_ids,
-                        FlushReason::Preempt,
-                        Some(resume),
-                    );
-                    shared.work.notify_all();
-                    return;
-                }
-            }
-        }
-        let cfg = match EnsembleConfig::new(inputs.clone(), grid) {
-            Ok(c) => c,
-            Err(e) => {
-                fail_all(shared, &member_ids, &format!("ensemble rebuild failed: {e}"));
-                return;
-            }
-        };
-        let seg = shared.cfg.ckpt_every.min(steps_total - done);
-        let out = run_xgyro_resilient_from(
-            &cfg,
-            checkpoint.take(),
-            seg,
-            seg,
-            plan.take().unwrap_or_else(FaultPlan::new),
-            shared.cfg.deadline,
-        );
-        match out {
-            Ok(rec) => {
-                // Fold the segment's communication traces into the
-                // execution-phase breakdown before touching job states.
-                shared.state.lock().metrics.on_batch_traces(&rec.outcome.traces);
-                if shared.store.is_some() {
-                    all_traces.extend(rec.outcome.traces.iter().cloned());
-                }
-                // Members evicted by faults terminalize as Failed; the
-                // survivors carry on from the segment's checkpoint.
-                for ev in &rec.events {
-                    finish(
-                        shared,
-                        member_ids[ev.failed_member],
-                        JobState::Failed,
-                        format!("member evicted after fault: {}", ev.cause),
-                        None,
-                    );
-                }
-                let old_ids = member_ids.clone();
-                member_ids = rec.surviving_members.iter().map(|&i| old_ids[i]).collect();
-                inputs = rec.surviving_members.iter().map(|&i| inputs[i].clone()).collect();
-                for s in &rec.outcome.sims {
-                    results.insert(
-                        old_ids[s.sim],
-                        JobOutcome {
-                            h: s.h.clone(),
-                            diagnostics: s.diagnostics,
-                            steps: done + seg,
-                        },
-                    );
-                }
-                done += seg;
-                if done < steps_total && !member_ids.is_empty() {
-                    // Journal this boundary so a crash resumes here. The
-                    // final segment is intentionally skipped (see above).
-                    let crec = JournalRecord::Checkpoint {
-                        batch: batch_id,
-                        jobs: member_ids.clone(),
-                        seq: next_seq,
-                        done_steps: done as u64,
-                        state: rec.checkpoint.to_bytes(),
-                    };
-                    next_seq += 1;
-                    journal_append(&mut shared.state.lock(), &crec);
-                }
-                checkpoint = Some(rec.checkpoint);
-            }
-            Err(e) => {
-                fail_all(shared, &member_ids, &format!("batch failed: {e}"));
-                return;
-            }
-        }
+    for &pos in cancelled.iter().rev() {
+        inputs.remove(pos);
+        checkpoint = checkpoint.and_then(|cp| cp.evict_member(pos).ok());
     }
-    // Publish artifacts BEFORE the Done transitions: when the journal
-    // records Done, the artifact is already visible to admission — no
-    // window where a terminal job has no cache entry.
-    publish_batch(shared, batch_id, batch_k, &member_ids, &results, &all_traces, exec_start);
+    let cfg = match EnsembleConfig::new(inputs, grid) {
+        Ok(c) => c,
+        Err(e) => return fail_all(shared, &member_ids, &format!("ensemble rebuild failed: {e}")),
+    };
+    // Job of each position at the start of the run — what
+    // `Boundary::members`, `RecoveryEvent::failed_member` and
+    // `SimResult::sim` index.
+    let run_ids = member_ids.clone();
+    let evicted = |events: &[xgyro_core::RecoveryEvent]| {
+        for ev in events {
+            let detail = format!("member evicted after fault: {}", ev.cause);
+            finish(shared, run_ids[ev.failed_member], JobState::Failed, detail, None);
+        }
+    };
+    let (mut seen_events, mut yielded) = (0, false);
+    let opts = Run {
+        ckpt_every: Some(shared.cfg.ckpt_every),
+        resume: checkpoint,
+        faults: plan.unwrap_or_default(),
+        deadline: Some(shared.cfg.deadline),
+        ..Run::new(steps_total - done)
+    };
+    let out = xgyro_core::run(&cfg, &opts, |b| {
+        evicted(&b.events[seen_events..]);
+        seen_events = b.events.len();
+        member_ids = b.members.iter().map(|&i| run_ids[i]).collect();
+        let done = done + b.done;
+        let crec = JournalRecord::Checkpoint {
+            batch: batch_id,
+            jobs: member_ids.clone(),
+            seq: next_seq,
+            done_steps: done as u64,
+            state: b.checkpoint.to_bytes(),
+        };
+        next_seq += 1;
+        journal_append(&mut shared.state.lock(), &crec);
+        match boundary_checks(shared, &rb, &mut member_ids, Some(b.checkpoint), done, next_seq) {
+            None => {
+                yielded = true;
+                Decision::Yield
+            }
+            Some(cancelled) if cancelled.is_empty() => Decision::Continue,
+            Some(cancelled) => Decision::Evict(cancelled),
+        }
+    });
+    let rec = match out {
+        Ok(rec) => rec,
+        Err(e) => return fail_all(shared, &member_ids, &format!("batch failed: {e}")),
+    };
+    // Fold the batch's communication traces into the execution-phase
+    // breakdown before touching job states.
+    shared.state.lock().metrics.on_batch_traces(&rec.outcome.traces);
+    if yielded {
+        return;
+    }
+    evicted(&rec.events[seen_events..]);
+    let member_ids: Vec<JobId> = rec.surviving_members.iter().map(|&i| run_ids[i]).collect();
+    let RunOutcome { sims, traces } = rec.outcome;
+    let mut results: BTreeMap<JobId, JobOutcome> = sims
+        .into_iter()
+        .map(|s| {
+            (run_ids[s.sim], JobOutcome { h: s.h, diagnostics: s.diagnostics, steps: steps_total })
+        })
+        .collect();
+    // Publish the world that produced the results, one trace per world
+    // rank, BEFORE the Done transitions: when the journal records Done, the
+    // artifact is already visible to admission — no window where a
+    // terminal job has no cache entry.
+    let world = &traces[traces.len() - member_ids.len() * grid.size()..];
+    publish_batch(shared, batch_id, batch_k, &member_ids, &results, world, exec_start);
     for id in member_ids {
         let outcome = results.remove(&id);
         finish(shared, id, JobState::Done, "completed".into(), outcome);
     }
+}
+
+/// Checkpoint-boundary bookkeeping, also run before a batch's first
+/// segment: terminalize cancelled members (shutdown cancels all) and
+/// remove them from `member_ids`, returning their positions (ascending).
+/// `None` means stop: every member was cancelled, or the batch yielded its
+/// nodes — re-queued with `checkpoint` minus the cancelled members.
+fn boundary_checks(
+    shared: &Shared,
+    rb: &ReadyBatch,
+    member_ids: &mut Vec<JobId>,
+    checkpoint: Option<&EnsembleCheckpoint>,
+    done: usize,
+    next_seq: u64,
+) -> Option<Vec<usize>> {
+    let cancelled: Vec<usize> = {
+        let guard = shared.state.lock();
+        member_ids
+            .iter()
+            .enumerate()
+            .filter(|(_, id)| guard.shutdown || guard.jobs[*id].cancel_requested)
+            .map(|(pos, _)| pos)
+            .collect()
+    };
+    for &pos in cancelled.iter().rev() {
+        let id = member_ids.remove(pos);
+        finish(shared, id, JobState::Cancelled, "preempted at checkpoint".into(), None);
+    }
+    if member_ids.is_empty() {
+        return None;
+    }
+    // Elastic preemption: yield this world's nodes when a higher-priority
+    // batch is blocked and provably dispatchable once they are released.
+    // The fit test is deliberately strict — releasing nodes that still
+    // would not admit the waiting batch would spin through pop/requeue
+    // without making progress. Members stay Running; the batch re-enters
+    // the queue with its checkpoint, and the worker that released the
+    // nodes pops the higher lane first.
+    let mut guard = shared.state.lock();
+    let st = &mut *guard;
+    let Some(need) = st.ready.min_over_higher_lanes(rb.priority, |c| c.nodes as u64) else {
+        return Some(cancelled);
+    };
+    let avail_now = shared.cfg.nodes.saturating_sub(st.nodes_in_use) as u64;
+    let blocked = st.idle_workers == 0 || need > avail_now;
+    if !blocked || need > avail_now + rb.nodes as u64 {
+        return Some(cancelled);
+    }
+    st.metrics.on_preempt(&rb.tenant);
+    // Emptying the batch drops the checkpoint with it — evict_member only
+    // refuses to evict the last member.
+    let checkpoint = checkpoint.cloned().and_then(|cp| {
+        cancelled.iter().rev().try_fold(cp, |cp, &pos| cp.evict_member(pos).ok())
+    });
+    let resume = Some(ResumeState { checkpoint, done, next_seq });
+    enqueue_ready(&shared.cfg, st, rb.id, member_ids.clone(), FlushReason::Preempt, resume);
+    shared.work.notify_all();
+    None
 }
 
 /// Publish every completed member of a batch into the artifact store: the

@@ -23,7 +23,7 @@ use xg_serve::{
     AdmitError, BatchId, CampaignServer, JobId, JobSpec, JobState, JournalRecord, ServerConfig,
 };
 use xg_sim::{write_deck, CgyroInput};
-use xgyro_core::{run_xgyro, run_xgyro_resilient, EnsembleConfig};
+use xgyro_core::{run, run_xgyro, Decision, EnsembleConfig, Run};
 
 const STEPS: usize = 20;
 
@@ -164,14 +164,8 @@ fn running_batch_resumes_from_its_checkpoint_bitwise_identically() {
 
     // The checkpoint a killed daemon would have journaled: the real
     // ensemble state after the first 10-step segment.
-    let half = run_xgyro_resilient(
-        &config_k2,
-        STEPS / 2,
-        STEPS / 2,
-        xg_comm::FaultPlan::new(),
-        Duration::from_secs(10),
-    )
-    .expect("clean half run");
+    let half = run(&config_k2, &Run::new(STEPS / 2), |_| Decision::Continue)
+        .expect("clean half run");
 
     let (mut j, _) = Journal::open(JournalConfig::durable(&dir)).expect("open");
     let members = vec![JobId(0), JobId(1)];

@@ -77,7 +77,11 @@ fn em_shaped_campaign_histories_roundtrip_csv() {
     base.delta = 0.15;
     base.steps_per_report = 5;
     let cfg = gradient_sweep(&base, 2, ProcGrid::new(2, 1));
-    let (_, histories) = xgyro_repro::xgyro::run_xgyro_with_history(&cfg, 3);
+    let opts = xgyro_repro::xgyro::Run { history: true, ..xgyro_repro::xgyro::Run::new(3 * base.steps_per_report) };
+    let histories =
+        xgyro_repro::xgyro::run(&cfg, &opts, |_| xgyro_repro::xgyro::Decision::Continue)
+            .unwrap()
+            .histories;
     for hist in &histories {
         assert_eq!(hist.len(), 3);
         let csv = hist.to_csv();
