@@ -244,6 +244,7 @@ fn rank_main(
     let _gone = GoneOnPanic(arrivals);
     let (a, grid) = (assignment(cfg, rank), cfg.grid());
     let input = &cfg.members()[a.sim];
+    let setup = xg_obs::span(xg_obs::Phase::Setup);
     let topo = match opts.mode {
         Mode::Xgyro => build_xgyro_topology(cfg, &comm).1,
         Mode::CgyroBaseline => DistTopology::cgyro(input, grid, comm),
@@ -251,6 +252,7 @@ fn rank_main(
     let cmat_bytes = topo.cmat().bytes();
     let layout = PhaseLayout::new(input.dims(), grid, grid.rank(a.i1, a.i2));
     let mut sim = Simulation::new(input.clone(), topo);
+    setup.finish();
     if let Some(cp) = resume {
         sim.restore_state(&cp.cut(a.sim, &layout), cp.time, cp.steps_taken);
     }

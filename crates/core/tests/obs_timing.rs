@@ -70,6 +70,26 @@ fn timing_on_and_off_are_bitwise_identical() {
 }
 
 #[test]
+fn setup_phase_is_timed_only_when_on() {
+    // Topology construction (communicator splits, cmat build) and the
+    // initial condition are booked to the setup phase by every rank.
+    let _guard = OBS_FLAG.lock().unwrap();
+    let cfg = gradient_sweep(&CgyroInput::test_small(), 2, ProcGrid::new(2, 1));
+    let setup = || Registry::global().phase(Phase::Setup).busy.snapshot();
+    let ranks = cfg.total_ranks() as u64;
+
+    let before = setup();
+    with_obs(true, || run_xgyro(&cfg, 1));
+    let on = setup();
+    assert_eq!(on.count - before.count, ranks, "one setup span per rank");
+    assert!(on.sum > before.sum, "setup busy time must be > 0 with obs on");
+
+    with_obs(false, || run_xgyro(&cfg, 1));
+    let off = setup();
+    assert_eq!((off.count, off.sum), (on.count, on.sum), "setup must record nothing with obs off");
+}
+
+#[test]
 fn timers_survive_member_eviction() {
     let _guard = OBS_FLAG.lock().unwrap();
     let cfg = gradient_sweep(&CgyroInput::test_small(), 3, ProcGrid::new(2, 1));

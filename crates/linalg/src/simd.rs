@@ -604,7 +604,7 @@ mod x86 {
 /// Clamp a requested level to what this CPU can actually execute (passing
 /// `Avx512` on an AVX2-only machine must not fault).
 #[inline]
-fn effective(level: SimdLevel) -> SimdLevel {
+pub(crate) fn effective(level: SimdLevel) -> SimdLevel {
     level.min(detected_level())
 }
 

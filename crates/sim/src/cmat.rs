@@ -42,7 +42,9 @@ impl CollisionConstants {
     /// Build the slice for `nc_range × nt_range`.
     ///
     /// For each local pair, assemble `C(k⊥²(ic, itor))`, factorize
-    /// `(I − Δt/2·C)` and solve against `(I + Δt/2·C)`.
+    /// `(I − Δt/2·C)` and solve against `(I + Δt/2·C)`. One `nv × nv`
+    /// scratch holds `C` and then `I − Δt/2·C` for every panel; the
+    /// right-hand side is built in the panel's own slot and solved there.
     pub fn build(
         input: &CgyroInput,
         v: &VelocityGrid,
@@ -55,20 +57,24 @@ impl CollisionConstants {
         let nv = v.nv();
         let half_dt = 0.5 * input.delta_t;
         let mut tensor = Tensor4::new(nc_range.len(), nt_range.len(), nv, nv);
+        let mut lhs = RealMatrix::zeros(nv, nv);
         for (icl, ic) in nc_range.clone().enumerate() {
             for (itl, itor) in nt_range.clone().enumerate() {
-                let c = op.matrix_at(geo.kperp2(ic, itor));
-                // lhs = I − Δt/2·C ; rhs = I + Δt/2·C.
-                let mut lhs = c.clone();
-                lhs.scale_inplace(-half_dt);
+                op.matrix_at_into(geo.kperp2(ic, itor), &mut lhs);
+                // rhs = I + Δt/2·C (in the slot) ; lhs = I − Δt/2·C.
+                let rhs = tensor.panel_mut(icl, itl);
+                for (l, r) in lhs.as_mut_slice().iter_mut().zip(rhs.iter_mut()) {
+                    *r = *l * half_dt;
+                    *l *= -half_dt;
+                }
+                for i in 0..nv {
+                    rhs[i * nv + i] += 1.0;
+                }
                 lhs.add_scaled_identity(1.0);
-                let mut rhs = c;
-                rhs.scale_inplace(half_dt);
-                rhs.add_scaled_identity(1.0);
                 let lu = LuFactors::factorize(lhs)
                     .expect("I - dt/2 C must be invertible for a dissipative C");
-                let a = lu.solve_matrix(&rhs);
-                tensor.panel_mut(icl, itl).copy_from_slice(a.as_slice());
+                lu.solve_matrix_inplace(rhs, nv);
+                lhs = lu.into_matrix();
             }
         }
         let _ = cfg;
@@ -449,6 +455,27 @@ mod tests {
         let (vc, cfgc, geoc, opc) = setup(&c);
         let cc = CollisionConstants::build(&c, &vc, &cfgc, &geoc, &opc, 0..4, 0..2);
         assert_ne!(ca.fingerprint(), cc.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Golden values of the build's output bits. A change here means
+        // cmat changed numerically, so every published result built on it
+        // (artifact store, checkpoints, bitwise suites) would move too.
+        let medium = CgyroInput::test_medium();
+        let xgyro_rank0 = xg_tensor::RaggedDecomp::balanced(medium.dims().nc, 2).range(0);
+        for (input, nc_range, want) in [
+            (CgyroInput::test_small(), None, 0x265aa3ecb69a92ae_u64),
+            (medium.clone(), None, 0x3da2a00252b5f865),
+            (medium, Some(xgyro_rank0), 0xe4ceafcece2684ef),
+        ] {
+            let (v, cfg, geo, op) = setup(&input);
+            let d = input.dims();
+            let nc_range = nc_range.unwrap_or(0..d.nc);
+            let cm =
+                CollisionConstants::build(&input, &v, &cfg, &geo, &op, nc_range.clone(), 0..d.nt);
+            assert_eq!(cm.fingerprint(), want, "nv {} nc {nc_range:?}", d.nv);
+        }
     }
 
     #[test]

@@ -170,11 +170,17 @@ impl CollisionOperator {
 
     /// Assemble the full operator matrix at a given `k⊥²`.
     pub fn matrix_at(&self, kperp2: f64) -> RealMatrix {
-        let mut m = self.base.clone();
+        let mut m = RealMatrix::zeros(self.nv, self.nv);
+        self.matrix_at_into(kperp2, &mut m);
+        m
+    }
+
+    /// [`Self::matrix_at`] into caller-owned `nv × nv` storage.
+    pub fn matrix_at_into(&self, kperp2: f64, m: &mut RealMatrix) {
+        m.as_mut_slice().copy_from_slice(self.base.as_slice());
         for iv in 0..self.nv {
             m[(iv, iv)] -= kperp2 * self.flr[iv];
         }
-        m
     }
 
     /// Lorentz pitch-angle scattering: per (species, energy) block, a

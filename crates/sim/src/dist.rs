@@ -98,6 +98,15 @@ pub struct DistTopology {
     /// forward send is packed while slice `i` is still in flight, so two
     /// block sets rotate through the pipeline).
     spare_blocks: Vec<Vec<Vec<Complex64>>>,
+    /// Persistent nl-phase buffers: the str→nl transpose lands in
+    /// `nl_in` (shape `(nc block, nv_loc, nt)`), the bracket is evaluated
+    /// into `nl_out`, and `phi_full` holds φ over all toroidal modes.
+    nl_in: Tensor3<Complex64>,
+    nl_out: Tensor3<Complex64>,
+    phi_full: Vec<Complex64>,
+    /// Per-peer nl send blocks, recycled from the previous reverse
+    /// transpose's receive blocks (sizes match between directions).
+    nl_send: Vec<Vec<Complex64>>,
     /// Worker pool for the panel loop over `(ic, it)`.
     pool: StepPool,
     /// Str-phase reduction algorithm resolved at build time (env >
@@ -228,6 +237,13 @@ impl DistTopology {
         let nl = NlKernel::new(input);
         let my_nc = coll_nc_decomp.count(coll_comm.rank());
         let ntl = layout.nt_range().len();
+        // nl-phase buffers (none when the nonlinear term is off).
+        let (nl_nc, nl_nv, nl_phi) = if nl.is_disabled() {
+            (0, 0, 0)
+        } else {
+            let nc2 = Decomp1D::new(dims.nc, grid.n2).count(i2);
+            (nc2, layout.nv_range().len(), dims.nc * dims.nt)
+        };
         let lanes = sims_in_coll * dims.nv;
         let p = coll_comm.size();
 
@@ -259,6 +275,10 @@ impl DistTopology {
             coll_out: Tensor3::new(my_nc, ntl, lanes),
             fwd_send: (0..p).map(|_| Vec::new()).collect(),
             spare_blocks: Vec::new(),
+            nl_in: Tensor3::new(nl_nc, nl_nv, dims.nt),
+            nl_out: Tensor3::new(nl_nc, nl_nv, dims.nt),
+            phi_full: vec![Complex64::ZERO; nl_phi],
+            nl_send: (0..grid.n2).map(|_| Vec::new()).collect(),
             pool: StepPool::from_env(),
             reduce_algo,
             kernel,
@@ -668,53 +688,47 @@ impl Topology for DistTopology {
             return;
         }
         let dims = self.layout.dims();
-        let n2 = self.nt_comm.size();
-        let nc2_decomp = Decomp1D::new(dims.nc, n2);
+        let nc2_decomp = Decomp1D::new(dims.nc, self.nt_comm.size());
         let nt_decomp = self.layout.nt_decomp();
         let my_i2 = self.nt_comm.rank();
-        let nvl = h.shape().1;
 
-        // Transpose str -> nl over the toroidal communicator.
-        let send: Vec<Vec<Complex64>> = (0..n2)
-            .map(|j| {
-                let mut buf = Vec::new();
-                pack_str_block(h, nc2_decomp.range(j), &mut buf);
-                buf
-            })
-            .collect();
-        let recv = self.nt_comm.all_to_all_v(send);
-        let mut h_nl = Tensor3::new(nc2_decomp.count(my_i2), nvl, dims.nt);
+        // Transpose str -> nl over the toroidal communicator, packing into
+        // the previous call's reverse-receive blocks.
+        let mut send = std::mem::take(&mut self.nl_send);
+        for (j, buf) in send.iter_mut().enumerate() {
+            buf.clear();
+            pack_str_block(h, nc2_decomp.range(j), buf);
+        }
+        let recv = self.nt_comm.all_to_all_v_take(send);
         for (j, block) in recv.iter().enumerate() {
-            unpack_into_nl(block, nt_decomp.range(j), &mut h_nl);
+            unpack_into_nl(block, nt_decomp.range(j), &mut self.nl_in);
         }
 
         // Complete phi in the toroidal dimension (small gather).
         let phi_blocks = self.nt_comm.all_gather(phi);
-        let mut phi_full = vec![Complex64::ZERO; dims.nc * dims.nt];
         for (j, block) in phi_blocks.iter().enumerate() {
             let r = nt_decomp.range(j);
             let ntl_j = r.len();
             for ic in 0..dims.nc {
                 for (itl, itor) in r.clone().enumerate() {
-                    phi_full[ic * dims.nt + itor] = block[ic * ntl_j + itl];
+                    self.phi_full[ic * dims.nt + itor] = block[ic * ntl_j + itl];
                 }
             }
         }
 
-        // Evaluate and transpose back.
-        let mut nl_out = Tensor3::new(nc2_decomp.count(my_i2), nvl, dims.nt);
-        self.nl.eval(&h_nl, &phi_full, nc2_decomp.start(my_i2), &mut nl_out);
-        let send_back: Vec<Vec<Complex64>> = (0..n2)
-            .map(|j| {
-                let mut buf = Vec::new();
-                pack_nl_block(&nl_out, nt_decomp.range(j), &mut buf);
-                buf
-            })
-            .collect();
-        let recv_back = self.nt_comm.all_to_all_v(send_back);
+        // Evaluate and transpose back, recycling the forward receive
+        // blocks as send buffers.
+        self.nl.eval(&self.nl_in, &self.phi_full, nc2_decomp.start(my_i2), &mut self.nl_out);
+        let mut send_back = recv;
+        for (j, buf) in send_back.iter_mut().enumerate() {
+            buf.clear();
+            pack_nl_block(&self.nl_out, nt_decomp.range(j), buf);
+        }
+        let recv_back = self.nt_comm.all_to_all_v_take(send_back);
         for (j, block) in recv_back.iter().enumerate() {
             unpack_into_str_from_nl(block, nc2_decomp.range(j), out);
         }
+        self.nl_send = recv_back;
     }
 
     fn reduce_sim_scalars(&self, vals: &mut [f64]) {
